@@ -32,6 +32,21 @@ type metric struct {
 	Name  string
 	Value float64
 	Unit  string
+	// Pool, when set, holds the samples Value is the Q-quantile of, and
+	// a split run merges the metric by taking that quantile of every
+	// process's samples pooled, not the median of the processes' values.
+	Pool []float64 `json:",omitempty"`
+	Q    float64   `json:",omitempty"`
+}
+
+// pooledQuantile is the q-quantile of xs, each scaled by scale, as a
+// metric that mergeReports pools across processes.
+func pooledQuantile(name string, xs []float64, q, scale float64, unit string) metric {
+	pool := make([]float64, len(xs))
+	for i, x := range xs {
+		pool[i] = x * scale
+	}
+	return metric{Name: name, Value: quantile(pool, q), Unit: unit, Pool: pool, Q: q}
 }
 
 // check is one output-correctness assertion.
@@ -62,15 +77,15 @@ func (r *report) check(name string, ok bool, format string, args ...any) {
 }
 
 func (r *report) e2e(name string, v float64, unit string) {
-	r.EndToEnd = append(r.EndToEnd, metric{name, v, unit})
+	r.EndToEnd = append(r.EndToEnd, metric{Name: name, Value: v, Unit: unit})
 }
 
 func (r *report) named(name string, v float64, unit string) {
-	r.Named = append(r.Named, metric{name, v, unit})
+	r.Named = append(r.Named, metric{Name: name, Value: v, Unit: unit})
 }
 
 func (r *report) layer(name string, v float64, unit string) {
-	r.Layers = append(r.Layers, metric{name, v, unit})
+	r.Layers = append(r.Layers, metric{Name: name, Value: v, Unit: unit})
 }
 
 func (r *report) note(format string, args ...any) {
@@ -230,7 +245,8 @@ func runParts(name string, o options) ([]*report, error) {
 
 // mergeReports combines the processes' reports: operations add up, a
 // check passes only if it passed in every process, and each metric is
-// the median of the processes' values.
+// the median of the processes' values, or, for a pooled quantile, that
+// quantile of all their samples.
 func mergeReports(parts []*report) *report {
 	out := &report{Workload: parts[0].Workload}
 	for _, p := range parts {
@@ -248,20 +264,30 @@ func mergeReports(parts []*report) *report {
 	out.EndToEnd = mergeMetrics(parts, func(r *report) []metric { return r.EndToEnd })
 	out.Named = mergeMetrics(parts, func(r *report) []metric { return r.Named })
 	out.Layers = mergeMetrics(parts, func(r *report) []metric { return r.Layers })
-	out.Notes = append(parts[0].Notes, fmt.Sprintf("metrics are medians over %d processes; notes are the first one's", len(parts)))
+	out.Notes = append(parts[0].Notes, fmt.Sprintf("metrics are medians over %d processes (latency quantiles pool their samples); notes are the first one's", len(parts)))
 	return out
 }
 
 func mergeMetrics(parts []*report, list func(*report) []metric) []metric {
 	values := make(map[string][]float64)
+	pools := make(map[string][]float64)
+	pooled := make(map[string]int)
 	for _, p := range parts {
 		for _, m := range list(p) {
 			values[m.Name] = append(values[m.Name], m.Value)
+			if m.Pool != nil {
+				pools[m.Name] = append(pools[m.Name], m.Pool...)
+				pooled[m.Name]++
+			}
 		}
 	}
 	var out []metric
 	for _, m := range list(parts[0]) {
-		out = append(out, metric{m.Name, median(values[m.Name]), m.Unit})
+		v := median(values[m.Name])
+		if pooled[m.Name] == len(parts) {
+			v = quantile(pools[m.Name], m.Q)
+		}
+		out = append(out, metric{Name: m.Name, Value: v, Unit: m.Unit})
 	}
 	return out
 }

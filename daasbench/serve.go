@@ -28,7 +28,10 @@ const (
 	refRate = 400
 	// refShare is the share of the window spent at refRate; the rest
 	// measures saturation throughput.
-	refShare = 0.5
+	refShare = 0.65
+	// warmup is how long each phase sends untimed traffic before it is
+	// timed; it comes on top of the window.
+	warmup = time.Second
 	// exchangeBatch is the size of an exchange's screening batch.
 	exchangeBatch = 1024
 	// failedLatency stands in for the latency of a failed request: a
@@ -238,30 +241,15 @@ func verdictMatches(snap *screen.Snapshot, a ethtypes.Address, got rpc.ScreenRes
 		got.Tainted == rec.Tainted && got.StaticFlagged == rec.StaticFlagged
 }
 
-// drive runs the reference phase (open loop at refRate from
-// screenConns connections) and then the saturation phase (closed loop,
-// screenConns workers back to back) over window.
-func (e *screenEnv) drive(window time.Duration, seed uint64, tr *tracer) (*loadResult, error) {
-	client := rpc.NewClient(e.srv.url)
-	client.HTTPClient = newHTTPClient(screenConns)
-	s := &sender{client: client, snap: e.snap, tr: tr}
-	res := &loadResult{}
-
-	runtime.GC()
-	// Reference phase: request i is due at t0 + i/refRate; a worker
-	// takes the next request in order and waits for its due time.
-	refWindow := time.Duration(float64(window) * refShare)
-	reqs := requestMix(e.snap, newRand(seed, "ref-mix"), int(refWindow.Seconds()*refRate))
+// openLoop sends reqs from screenConns workers at refRate: request i
+// is due at t0 + i/refRate, a worker takes the next request in order
+// and waits for its due time, and each latency is timed from when the
+// request was due.
+func (s *sender) openLoop(reqs []screenReq) (lat, late []float64, backlog int) {
 	interval := time.Second / refRate
-	res.lat = make([]float64, len(reqs))
-	res.late = make([]float64, len(reqs))
-	res.exchange = make([]bool, len(reqs))
-	for i, r := range reqs {
-		res.exchange[i] = len(r.addrs) == exchangeBatch
-	}
-	var next atomic.Int64
-	var backlog atomic.Int64
-	s.parent = tr.start("screen.reference", 0)
+	lat = make([]float64, len(reqs))
+	late = make([]float64, len(reqs))
+	var next, owedMax atomic.Int64
 	t0 := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < screenConns; c++ {
@@ -277,51 +265,92 @@ func (e *screenEnv) drive(window time.Duration, seed uint64, tr *tracer) (*loadR
 				sleepUntil(due)
 				start := time.Now()
 				owed := int64(start.Sub(t0)/interval) - int64(i)
-				for cur := backlog.Load(); owed > cur && !backlog.CompareAndSwap(cur, owed); cur = backlog.Load() {
+				for cur := owedMax.Load(); owed > cur && !owedMax.CompareAndSwap(cur, owed); cur = owedMax.Load() {
 				}
 				_, ok, end := s.send(reqs[i])
-				lat := end.Sub(due)
+				d := end.Sub(due)
 				if !ok {
-					lat = failedLatency
+					d = failedLatency
 				}
-				res.lat[i] = lat.Seconds()
-				res.late[i] = start.Sub(due).Seconds()
+				lat[i] = d.Seconds()
+				late[i] = start.Sub(due).Seconds()
 			}
 		}()
 	}
 	wg.Wait()
-	tr.end(s.parent)
-	res.refRequests = len(reqs)
-	res.backlog = int(backlog.Load())
+	return lat, late, int(owedMax.Load())
+}
 
-	// Saturation phase: each worker cycles through its own pool.
-	satWindow := window - refWindow
-	runtime.GC()
-	var addrs, requests atomic.Int64
-	var busy atomic.Int64
-	s.parent = tr.start("screen.saturation", 0)
+// closedLoop runs one worker per pool for d, each sending its pool's
+// requests back to back, and returns the addresses screened, the
+// requests sent, the workers' summed time in requests and the wall time.
+func (s *sender) closedLoop(pools [][]screenReq, d time.Duration) (addrs, requests int, busy, wall time.Duration) {
+	var nAddrs, nRequests, nBusy atomic.Int64
 	start := time.Now()
-	for c := 0; c < screenConns; c++ {
-		pool := requestMix(e.snap, newRand(seed+uint64(c), "sat-mix"), 1024)
+	var wg sync.WaitGroup
+	for _, pool := range pools {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; time.Since(start) < satWindow; i++ {
+			for i := 0; time.Since(start) < d; i++ {
 				rs := time.Now()
 				n, _, end := s.send(pool[i%len(pool)])
-				busy.Add(int64(end.Sub(rs)))
-				addrs.Add(int64(n))
-				requests.Add(1)
+				nBusy.Add(int64(end.Sub(rs)))
+				nAddrs.Add(int64(n))
+				nRequests.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	res.satWall = time.Since(start)
+	return int(nAddrs.Load()), int(nRequests.Load()), time.Duration(nBusy.Load()), time.Since(start)
+}
+
+// drive runs the reference phase (open loop at refRate from
+// screenConns connections) and then the saturation phase (closed loop,
+// screenConns workers back to back) over window, each after a warm-up
+// of its own.
+func (e *screenEnv) drive(window time.Duration, seed uint64, tr *tracer) (*loadResult, error) {
+	client := rpc.NewClient(e.srv.url)
+	client.HTTPClient = newHTTPClient(screenConns)
+	s := &sender{client: client, snap: e.snap, tr: tr}
+	res := &loadResult{}
+
+	// Warm-up: the same traffic, checked and counted but not timed, so
+	// connection set-up and the first requests' heap growth stay out of
+	// the reference phase's tail.
+	runtime.GC()
+	s.parent = tr.start("screen.warmup", 0)
+	warm := requestMix(e.snap, newRand(seed, "warm-mix"), int(warmup.Seconds()*refRate))
+	s.openLoop(warm)
 	tr.end(s.parent)
-	res.addrs = int(addrs.Load())
-	res.satRequests = int(requests.Load())
-	res.satBusy = time.Duration(busy.Load())
-	res.attempted = res.refRequests + res.satRequests
+
+	refWindow := time.Duration(float64(window) * refShare)
+	reqs := requestMix(e.snap, newRand(seed, "ref-mix"), int(refWindow.Seconds()*refRate))
+	res.exchange = make([]bool, len(reqs))
+	for i, r := range reqs {
+		res.exchange[i] = len(r.addrs) == exchangeBatch
+	}
+	s.parent = tr.start("screen.reference", 0)
+	res.lat, res.late, res.backlog = s.openLoop(reqs)
+	tr.end(s.parent)
+	res.refRequests = len(reqs)
+
+	// Saturation phase: each worker cycles through its own pool, first
+	// untimed for warmup and then timed. Without the warm-up the first
+	// half second or so after the collection ran at about half the
+	// closed loop's pace, and how long that lasted varied by process.
+	pools := make([][]screenReq, screenConns)
+	for c := range pools {
+		pools[c] = requestMix(e.snap, newRand(seed+uint64(c), "sat-mix"), 1024)
+	}
+	runtime.GC()
+	s.parent = tr.start("screen.saturation_warmup", 0)
+	_, warmSat, _, _ := s.closedLoop(pools, warmup)
+	tr.end(s.parent)
+	s.parent = tr.start("screen.saturation", 0)
+	res.addrs, res.satRequests, res.satBusy, res.satWall = s.closedLoop(pools, window-refWindow)
+	tr.end(s.parent)
+	res.attempted = len(warm) + warmSat + res.refRequests + res.satRequests
 	res.failed, res.mismatches, res.verdicts = s.failed, s.mismatches, s.verdicts
 	return res, nil
 }
@@ -371,13 +400,6 @@ func runScreenRPC(o options) (*report, error) {
 		"%d of %d wire verdicts differ from Snapshot.Lookup/LookupDomain", mismatches, verdicts)
 
 	addrsS := float64(res.addrs) / res.satWall.Seconds()
-	p50, p99 := quantile(res.lat, 0.5)*1000, quantile(res.lat, 0.99)*1000
-	rep.e2e("units_s", addrsS, "1/s")
-	rep.e2e("op_p50_ms", p50, "ms")
-	rep.e2e("op_p99_ms", p99, "ms")
-	rep.named("screen_p50_ms", p50, "ms")
-	rep.named("screen_p99_ms", p99, "ms")
-	rep.named("screen_addrs_s", addrsS, "1/s")
 	var wallet, exchange []float64
 	for i, l := range res.lat {
 		if res.exchange[i] {
@@ -386,15 +408,24 @@ func runScreenRPC(o options) (*report, error) {
 			wallet = append(wallet, l)
 		}
 	}
-	rep.named("screen_wallet_p50_ms", quantile(wallet, 0.5)*1000, "ms")
-	rep.named("screen_wallet_p90_ms", quantile(wallet, 0.9)*1000, "ms")
-	rep.named("screen_wallet_p99_ms", quantile(wallet, 0.99)*1000, "ms")
-	rep.named("screen_exchange_p50_ms", quantile(exchange, 0.5)*1000, "ms")
-	rep.named("screen_exchange_p99_ms", quantile(exchange, 0.99)*1000, "ms")
-	rep.named("gen.late_p99_ms", quantile(res.late, 0.99)*1000, "ms")
+	rep.e2e("units_s", addrsS, "1/s")
+	rep.EndToEnd = append(rep.EndToEnd,
+		pooledQuantile("op_p50_ms", res.lat, 0.5, 1000, "ms"),
+		pooledQuantile("op_p99_ms", res.lat, 0.99, 1000, "ms"))
+	rep.Named = append(rep.Named,
+		pooledQuantile("screen_p50_ms", res.lat, 0.5, 1000, "ms"),
+		pooledQuantile("screen_p99_ms", res.lat, 0.99, 1000, "ms"))
+	rep.named("screen_addrs_s", addrsS, "1/s")
+	rep.Named = append(rep.Named,
+		pooledQuantile("screen_wallet_p50_ms", wallet, 0.5, 1000, "ms"),
+		pooledQuantile("screen_wallet_p90_ms", wallet, 0.9, 1000, "ms"),
+		pooledQuantile("screen_wallet_p99_ms", wallet, 0.99, 1000, "ms"),
+		pooledQuantile("screen_exchange_p50_ms", exchange, 0.5, 1000, "ms"),
+		pooledQuantile("screen_exchange_p99_ms", exchange, 0.99, 1000, "ms"),
+		pooledQuantile("gen.late_p99_ms", res.late, 0.99, 1000, "ms"))
 	rep.named("gen.backlog_max", float64(res.backlog), "count")
-	rep.note("op = one request at %d/s from %d connections (%d requests, timed from when due); saturation: %d requests, %d addresses in %.2fs",
-		refRate, screenConns, res.refRequests, res.satRequests, res.addrs, res.satWall.Seconds())
+	rep.note("op = one request at %d/s from %d connections (%d requests after %v of warm-up, timed from when due); saturation: %d requests, %d addresses in %.2fs",
+		refRate, screenConns, res.refRequests, warmup, res.satRequests, res.addrs, res.satWall.Seconds())
 	if o.Trace {
 		screenLayers(rep, e, res, traced)
 		if err := probeLayers(rep, o, e.w, e.snap, e.compile); err != nil {

@@ -1,6 +1,8 @@
 package daas_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"net/http/httptest"
 	"testing"
 
@@ -97,6 +99,20 @@ func TestDialAndRemoteStudy(t *testing.T) {
 	}
 	if remote.Totals.Victims != local.Totals.Victims {
 		t.Errorf("victims differ: %d vs %d", remote.Totals.Victims, local.Totals.Victims)
+	}
+	// The label directory crosses the wire in per-address order, so the
+	// remote client's Directory.Of(addr) lists label sources in the
+	// server's order and the exports match byte for byte.
+	var remoteJSON, localJSON bytes.Buffer
+	if err := remote.Dataset.WriteJSON(&remoteJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Dataset.WriteJSON(&localJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(remoteJSON.Bytes(), localJSON.Bytes()) {
+		t.Errorf("remote export (%d bytes, sha256 %x) differs from local (%d bytes, sha256 %x)",
+			remoteJSON.Len(), sha256.Sum256(remoteJSON.Bytes()), localJSON.Len(), sha256.Sum256(localJSON.Bytes()))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/big"
 	"net/http"
 	"strings"
@@ -107,14 +108,23 @@ func (c *Client) callContext(ctx context.Context, method string, params any, res
 		return err
 	}
 	return c.Retry.Do(ctx, method, func() error {
-		return c.callOnce(ctx, method, body, result)
+		return c.callOnce(ctx, method, body, func(r io.Reader) error {
+			var out response
+			if err := decodeEnvelope(r, method, &out, &out.Error); err != nil {
+				return err
+			}
+			if result == nil {
+				return nil
+			}
+			return json.Unmarshal(out.Result, result)
+		})
 	})
 }
 
-// callOnce performs one wire attempt; each attempt is instrumented
-// separately so daas_rpc_requests_total counts what actually hit the
-// server.
-func (c *Client) callOnce(ctx context.Context, method string, body []byte, result any) (err error) {
+// callOnce performs one wire attempt and hands the response body to
+// decode; each attempt is instrumented separately so
+// daas_rpc_requests_total counts what actually hit the server.
+func (c *Client) callOnce(ctx context.Context, method string, body []byte, decode func(io.Reader) error) (err error) {
 	cm := c.metrics()
 	cm.requests.With(method).Inc()
 	start := time.Now()
@@ -129,17 +139,19 @@ func (c *Client) callOnce(ctx context.Context, method string, body []byte, resul
 		return fmt.Errorf("rpc: %s: %w", method, err)
 	}
 	defer resp.Body.Close()
-	var out response
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	return decode(resp.Body)
+}
+
+// decodeEnvelope decodes one response envelope from r into env and
+// surfaces its error member, which rpcErr points at.
+func decodeEnvelope(r io.Reader, method string, env any, rpcErr **rpcError) error {
+	if err := json.NewDecoder(r).Decode(env); err != nil {
 		return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
 	}
-	if out.Error != nil {
-		return fmt.Errorf("rpc: %s: %w", method, out.Error)
+	if *rpcErr != nil {
+		return fmt.Errorf("rpc: %s: %w", method, *rpcErr)
 	}
-	if result == nil {
-		return nil
-	}
-	return json.Unmarshal(out.Result, result)
+	return nil
 }
 
 // post sends one request body and returns the HTTP response body
@@ -458,25 +470,13 @@ type ScreenResult struct {
 	SnapshotAgeSeconds uint64
 }
 
-func fromScreenResultJSON(in screenResultJSON) (ScreenResult, error) {
-	a, err := ethtypes.HexToAddress(in.Address)
-	if err != nil {
-		return ScreenResult{}, err
-	}
-	return ScreenResult{
-		Address: a, Listed: in.Listed, Kind: in.Kind, Reason: in.Reason,
-		Family: in.Family, Tainted: in.Tainted, StaticFlagged: in.StaticFlagged,
-		SnapshotAgeSeconds: in.SnapshotAge,
-	}, nil
-}
-
 // Screen asks the screening service for one address verdict.
 func (c *Client) Screen(addr ethtypes.Address) (ScreenResult, error) {
-	var raw screenResultJSON
-	if err := c.call("daas_screen", []string{addr.Hex()}, &raw); err != nil {
+	var v screenVerdict
+	if err := c.call("daas_screen", []string{addr.Hex()}, &v); err != nil {
 		return ScreenResult{}, err
 	}
-	return fromScreenResultJSON(raw)
+	return ScreenResult(v), nil
 }
 
 // ScreenBatch screens many addresses in one round trip via
@@ -500,26 +500,28 @@ func (c *Client) ScreenBatch(addrs []ethtypes.Address) ([]ScreenResult, error) {
 	return out, nil
 }
 
-// screenBatchOne issues one daas_screenBatch request.
+// screenBatchOne issues one daas_screenBatch request. The body is
+// appended by hand and the response decoded in one pass straight into
+// ScreenResults; both are byte-for-byte what encoding/json would write
+// and accept.
 func (c *Client) screenBatchOne(addrs []ethtypes.Address) ([]ScreenResult, error) {
-	params := make([]string, len(addrs))
-	for i, a := range addrs {
-		params[i] = a.Hex()
-	}
-	var raw []screenResultJSON
-	if err := c.call("daas_screenBatch", params, &raw); err != nil {
+	const method = "daas_screenBatch"
+	ctx := context.Background()
+	body := appendScreenBatchRequest(make([]byte, 0, 64+45*len(addrs)), c.nextID.Add(1), addrs)
+	var out []ScreenResult
+	err := c.Retry.Do(ctx, method, func() error {
+		return c.callOnce(ctx, method, body, func(r io.Reader) error {
+			env := screenBatchResponse{Result: screenVerdicts{list: make([]ScreenResult, 0, len(addrs))}}
+			if err := decodeEnvelope(r, method, &env, &env.Error); err != nil {
+				return err
+			}
+			var err error
+			out, err = env.Result.verdicts(len(addrs))
+			return err
+		})
+	})
+	if err != nil {
 		return nil, err
-	}
-	if len(raw) != len(addrs) {
-		return nil, fmt.Errorf("rpc: daas_screenBatch: %d results for %d addresses", len(raw), len(addrs))
-	}
-	out := make([]ScreenResult, len(raw))
-	for i, rj := range raw {
-		r, err := fromScreenResultJSON(rj)
-		if err != nil {
-			return nil, fmt.Errorf("rpc: daas_screenBatch item %d: %w", i, err)
-		}
-		out[i] = r
 	}
 	return out, nil
 }

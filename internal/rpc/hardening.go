@@ -143,10 +143,7 @@ func (s *Server) admit() (release func(), admitted bool) {
 func (s *Server) shed(w http.ResponseWriter) {
 	s.metrics().shed.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.Limits.retryAfterSeconds()))
-	s.writeStatusResponse(w, http.StatusServiceUnavailable, response{
-		JSONRPC: "2.0",
-		Error:   &rpcError{Code: codeOverloaded, Message: "server overloaded, retry later"},
-	})
+	s.writeError(w, http.StatusServiceUnavailable, &rpcError{Code: codeOverloaded, Message: "server overloaded, retry later"})
 }
 
 // Ready reports whether this server should receive traffic: the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -134,10 +135,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics().panics.Inc()
-			s.writeStatusResponse(w, http.StatusInternalServerError, response{
-				JSONRPC: "2.0",
-				Error:   &rpcError{Code: codeInternal, Message: fmt.Sprintf("internal error: %v", rec)},
-			})
+			s.writeError(w, http.StatusInternalServerError,
+				&rpcError{Code: codeInternal, Message: fmt.Sprintf("internal error: %v", rec)})
 		}
 	}()
 
@@ -164,17 +163,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	body, err := readBody(w, r, s.Limits.maxBodyBytes())
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := readBody(*buf, w, r, s.Limits.maxBodyBytes())
+	*buf = body
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.writeStatusResponse(w, http.StatusRequestEntityTooLarge, response{
-				JSONRPC: "2.0",
-				Error:   &rpcError{Code: codeInvalidRequest, Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)},
-			})
+			s.writeError(w, http.StatusRequestEntityTooLarge,
+				&rpcError{Code: codeInvalidRequest, Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
 			return
 		}
-		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{Code: codeParse, Message: err.Error()}})
+		s.writeError(w, http.StatusOK, &rpcError{Code: codeParse, Message: err.Error()})
 		return
 	}
 	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
@@ -183,21 +183,38 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var req request
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{Code: codeParse, Message: err.Error()}})
+		s.writeError(w, http.StatusOK, &rpcError{Code: codeParse, Message: err.Error()})
 		return
 	}
-	s.writeResponse(w, s.handle(ctx, req))
+	// The request owns copies of everything it needs from the body, so
+	// the buffer is free to carry the response.
+	*buf = append(s.handle(ctx, body[:0], req), '\n')
+	s.write(w, http.StatusOK, *buf)
 }
 
-// readBody drains one request body under the configured cap (0 = no
-// cap). The MaxBytesReader also arms the server to close the
-// connection when the cap trips, so an attacker cannot keep streaming.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody drains one request body into dst[:0] under the configured
+// cap (0 = no cap). The MaxBytesReader also arms the server to close
+// the connection when the cap trips, so an attacker cannot keep
+// streaming.
+func readBody(dst []byte, w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	body := r.Body
 	if limit > 0 {
 		body = http.MaxBytesReader(w, body, limit)
 	}
-	return io.ReadAll(body)
+	b := dst[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // serveBatch answers one JSON array of requests. Per the spec, a batch
@@ -209,83 +226,98 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, body []byte) {
 	var reqs []request
 	if err := json.Unmarshal(body, &reqs); err != nil {
-		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{Code: codeParse, Message: err.Error()}})
+		s.writeError(w, http.StatusOK, &rpcError{Code: codeParse, Message: err.Error()})
 		return
 	}
 	if len(reqs) == 0 {
-		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{Code: codeInvalidRequest, Message: "empty batch"}})
+		s.writeError(w, http.StatusOK, &rpcError{Code: codeInvalidRequest, Message: "empty batch"})
 		return
 	}
 	if max := s.Limits.maxBatch(); max > 0 && len(reqs) > max {
-		s.writeResponse(w, response{JSONRPC: "2.0", Error: &rpcError{
+		s.writeError(w, http.StatusOK, &rpcError{
 			Code: codeInvalidRequest, Message: fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), max),
-		}})
+		})
 		return
 	}
-	out := make([]response, len(reqs))
+	buf := getBuf()
+	defer putBuf(buf)
+	out := append((*buf)[:0], '[')
 	for i, req := range reqs {
-		out[i] = s.handle(ctx, req)
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = s.handle(ctx, out, req)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		s.metrics().writeErrors.Inc()
-	}
+	*buf = append(out, ']', '\n')
+	s.write(w, http.StatusOK, *buf)
 }
 
-// handle dispatches one request into one response envelope. Every
-// request — batched or not — is booked against the server-side
-// instruments here, so daas_rpc_server_requests_total counts batch
-// items individually. A panicking handler yields codeInternal for that
-// element only, and an expired context yields CodeTimeout without
-// dispatching.
-func (s *Server) handle(ctx context.Context, req request) (resp response) {
+// handle dispatches one request and appends its response envelope to
+// dst. Every request — batched or not — is booked against the
+// server-side instruments here, so daas_rpc_server_requests_total
+// counts batch items individually. A panicking handler yields
+// codeInternal for that element only, and an expired context yields
+// CodeTimeout without dispatching.
+//
+// The envelope bytes are those Encoder.Encode wrote for the response
+// struct: results from dispatch are json.Marshal output, already
+// compact and HTML-escaped, and the daas_screen verdicts are appended
+// in that same form.
+func (s *Server) handle(ctx context.Context, dst []byte, req request) (out []byte) {
 	sm := s.metrics()
 	method := metricMethod(req.Method)
 	sm.requests.With(method).Inc()
 	start := time.Now()
-	resp = response{JSONRPC: "2.0", ID: req.ID}
+	mark := len(dst)
+	failed := true
 	defer func() {
 		if rec := recover(); rec != nil {
 			sm.panics.Inc()
-			resp.Result = nil
-			resp.Error = &rpcError{Code: codeInternal, Message: fmt.Sprintf("internal error: %v", rec)}
+			out = appendError(dst[:mark], req.ID, &rpcError{Code: codeInternal, Message: fmt.Sprintf("internal error: %v", rec)})
 		}
 		sm.latency.With(method).ObserveDuration(time.Since(start))
-		if resp.Error != nil {
+		if failed {
 			sm.errors.With(method).Inc()
 		}
 	}()
 	if ctx.Err() != nil {
-		resp.Error = deadlineError()
-		return resp
+		return appendError(dst, req.ID, deadlineError())
+	}
+	if req.Method == "daas_screen" || req.Method == "daas_screenBatch" {
+		res, rpcErr := s.appendScreen(ctx, appendResultHead(dst, req.ID), req.Method, req.Params)
+		if rpcErr != nil {
+			return appendError(dst[:mark], req.ID, rpcErr)
+		}
+		failed = false
+		return append(res, '}')
 	}
 	result, rpcErr := s.dispatch(ctx, req.Method, req.Params)
 	if rpcErr != nil {
-		resp.Error = rpcErr
-	} else {
-		raw, err := json.Marshal(result)
-		if err != nil {
-			resp.Error = &rpcError{Code: codeInternal, Message: err.Error()}
-		} else {
-			resp.Result = raw
-		}
+		return appendError(dst, req.ID, rpcErr)
 	}
-	return resp
+	raw, err := json.Marshal(result)
+	if err != nil {
+		return appendError(dst, req.ID, &rpcError{Code: codeInternal, Message: err.Error()})
+	}
+	failed = false
+	return appendResult(dst, req.ID, raw)
 }
 
-func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
-	s.writeStatusResponse(w, http.StatusOK, resp)
+// writeError writes one error envelope (id 0) with the given HTTP
+// status.
+func (s *Server) writeError(w http.ResponseWriter, status int, e *rpcError) {
+	s.write(w, status, append(appendError(nil, 0, e), '\n'))
 }
 
-// writeStatusResponse writes one envelope with the given HTTP status,
+// write sends a finished response body with the given HTTP status,
 // counting clients that vanished mid-write instead of dropping the
 // error on the floor.
-func (s *Server) writeStatusResponse(w http.ResponseWriter, status int, resp response) {
+func (s *Server) write(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.metrics().writeErrors.Inc()
 	}
 }
@@ -295,8 +327,8 @@ func deadlineError() *rpcError {
 }
 
 func (s *Server) dispatch(ctx context.Context, method string, params json.RawMessage) (any, *rpcError) {
-	if result, rpcErr, handled := s.dispatchScreen(ctx, method, params); handled {
-		return result, rpcErr
+	if method == "daas_screenDomain" {
+		return s.screenDomain(params)
 	}
 	if result, rpcErr, handled := s.dispatchRadar(ctx, method, params); handled {
 		return result, rpcErr
@@ -461,13 +493,16 @@ func (s *Server) dispatch(ctx context.Context, method string, params json.RawMes
 		if s.Labels == nil {
 			return []labelJSON{}, nil
 		}
+		// Every label a source carries on an address that source
+		// reports as phishing, each address's labels in the
+		// directory's own order, so a client re-adding them in wire
+		// order rebuilds the same per-address order.
 		var out []labelJSON
-		for _, src := range labels.AllSources {
-			for _, addr := range s.Labels.PhishingReports(src) {
-				for _, l := range s.Labels.Of(addr) {
-					if l.Source == src {
-						out = append(out, toLabelJSON(l))
-					}
+		for _, addr := range s.Labels.AllPhishing() {
+			ls := s.Labels.Of(addr)
+			for _, l := range ls {
+				if reportsPhishing(ls, l.Source) {
+					out = append(out, toLabelJSON(l))
 				}
 			}
 		}
@@ -478,65 +513,59 @@ func (s *Server) dispatch(ctx context.Context, method string, params json.RawMes
 	}
 }
 
-// screenCtxStride is how many daas_screenBatch lookups run between
-// context-deadline checks: cheap enough to keep the hot loop tight,
-// frequent enough that an expired request releases its admission slot
-// promptly.
-const screenCtxStride = 256
+// reportsPhishing reports whether src, one of labels.AllSources, tags
+// the address carrying labels ls as phishing.
+func reportsPhishing(ls []labels.Label, src labels.Source) bool {
+	if !slices.Contains(labels.AllSources, src) {
+		return false
+	}
+	return slices.ContainsFunc(ls, func(l labels.Label) bool {
+		return l.Source == src && l.Category == labels.CategoryPhishing
+	})
+}
 
-// dispatchScreen answers the daas_screen* methods off the screening
-// engine's current snapshot; handled is false for every other method.
-// daas_screenBatch takes a flat address array in one request — the
-// high-throughput path — while single daas_screen requests also ride
-// the generic JSON-RPC array-batch transport.
-func (s *Server) dispatchScreen(ctx context.Context, method string, params json.RawMessage) (any, *rpcError, bool) {
-	switch method {
-	case "daas_screen":
-		if s.Screen == nil {
-			return nil, screenUnavailable(), true
-		}
+// appendScreen appends the result of a daas_screen or daas_screenBatch
+// request to dst, straight from the engine's records. daas_screenBatch
+// takes a flat address array in one request — the high-throughput
+// path — and answers all of it off one snapshot; single daas_screen
+// requests also ride the generic JSON-RPC array-batch transport.
+func (s *Server) appendScreen(ctx context.Context, dst []byte, method string, params json.RawMessage) ([]byte, *rpcError) {
+	if s.Screen == nil {
+		return dst, screenUnavailable()
+	}
+	if method == "daas_screen" {
 		a, rpcErr := addressParam(params)
 		if rpcErr != nil {
-			return nil, rpcErr, true
+			return dst, rpcErr
 		}
-		return s.screenOne(a, s.snapshotAge()), nil, true
-
-	case "daas_screenBatch":
-		if s.Screen == nil {
-			return nil, screenUnavailable(), true
-		}
-		var args []string
-		if err := json.Unmarshal(params, &args); err != nil {
-			return nil, invalidParams("want [address, ...]"), true
-		}
-		if len(args) > maxScreenBatch {
-			return nil, invalidParams(fmt.Sprintf("batch of %d exceeds limit %d", len(args), maxScreenBatch)), true
-		}
-		age := s.snapshotAge()
-		out := make([]screenResultJSON, len(args))
-		for i, raw := range args {
-			if i%screenCtxStride == 0 && ctx.Err() != nil {
-				return nil, deadlineError(), true
-			}
-			a, err := ethtypes.HexToAddress(raw)
-			if err != nil {
-				return nil, invalidParams(fmt.Sprintf("address %d: %s", i, err)), true
-			}
-			out[i] = s.screenOne(a, age)
-		}
-		return out, nil, true
-
-	case "daas_screenDomain":
-		if s.Screen == nil {
-			return nil, screenUnavailable(), true
-		}
-		var args []string
-		if err := json.Unmarshal(params, &args); err != nil || len(args) != 1 {
-			return nil, invalidParams("want [domain]"), true
-		}
-		return s.Screen.ScreenDomain(args[0]), nil, true
+		rec, ok := s.Screen.Screen(a)
+		rec.Address = a
+		return appendVerdict(dst, &screen.Verdict{Record: rec, Listed: ok}, s.snapshotAge()), nil
 	}
-	return nil, nil, false
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	var rpcErr *rpcError
+	if sc.addrs, rpcErr = decodeAddresses(sc.addrs, params); rpcErr != nil {
+		return dst, rpcErr
+	}
+	if ctx.Err() != nil {
+		return dst, deadlineError()
+	}
+	sc.verdicts = s.Screen.ScreenBatch(sc.verdicts, sc.addrs)
+	return appendVerdicts(dst, sc.verdicts, s.snapshotAge()), nil
+}
+
+// screenDomain answers daas_screenDomain off the engine's current
+// snapshot.
+func (s *Server) screenDomain(params json.RawMessage) (any, *rpcError) {
+	if s.Screen == nil {
+		return nil, screenUnavailable()
+	}
+	var args []string
+	if err := json.Unmarshal(params, &args); err != nil || len(args) != 1 {
+		return nil, invalidParams("want [domain]")
+	}
+	return s.Screen.ScreenDomain(args[0]), nil
 }
 
 // snapshotAge is the whole seconds since the engine's snapshot was
@@ -549,20 +578,6 @@ func (s *Server) snapshotAge() uint64 {
 		return 0
 	}
 	return uint64(age / time.Second)
-}
-
-// screenOne books one engine lookup into the wire DTO.
-func (s *Server) screenOne(a ethtypes.Address, age uint64) screenResultJSON {
-	rec, ok := s.Screen.Screen(a)
-	out := screenResultJSON{Address: a.Hex(), Listed: ok, SnapshotAge: age}
-	if ok {
-		out.Kind = rec.Kind.String()
-		out.Reason = rec.Reason
-		out.Family = rec.Family
-		out.Tainted = rec.Tainted
-		out.StaticFlagged = rec.StaticFlagged
-	}
-	return out
 }
 
 func screenUnavailable() *rpcError {

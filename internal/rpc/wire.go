@@ -128,24 +128,6 @@ type logEntryJSON struct {
 	Timestamp   int64   `json:"timestamp"`
 }
 
-// screenResultJSON is one daas_screen/daas_screenBatch verdict. The
-// record fields are omitted for clean addresses, so a mostly-clean
-// batch response stays compact. SnapshotAge is the whole seconds since
-// the serving snapshot was last confirmed fresh (installed, or
-// re-confirmed by a successful radar step); it is 0 — and omitted —
-// while the upstream is healthy, so degraded-mode answers are
-// self-describing without widening the common case.
-type screenResultJSON struct {
-	Address       string `json:"address"`
-	Listed        bool   `json:"listed"`
-	Kind          string `json:"kind,omitempty"`
-	Reason        string `json:"reason,omitempty"`
-	Family        string `json:"family,omitempty"`
-	Tainted       bool   `json:"tainted,omitempty"`
-	StaticFlagged bool   `json:"staticFlagged,omitempty"`
-	SnapshotAge   uint64 `json:"snapshotAge,omitempty"`
-}
-
 type labelJSON struct {
 	Address  string `json:"address"`
 	Source   string `json:"source"`

@@ -37,6 +37,7 @@ type Engine struct {
 	reqDomainListed *obs.Counter
 	reqDomainClean  *obs.Counter
 	duration        *obs.Histogram
+	batchDuration   *obs.Histogram
 	swaps           *obs.Counter
 	snapRecords     *obs.Gauge
 	snapDomains     *obs.Gauge
@@ -54,6 +55,7 @@ func NewEngine(reg *obs.Registry) *Engine {
 		reqDomainListed: requests.With(verdictDomainListed),
 		reqDomainClean:  requests.With(verdictDomainClean),
 		duration:        reg.Histogram("daas_screen_duration_seconds", "single-lookup screening latency", obs.DefDurationBuckets),
+		batchDuration:   reg.Histogram("daas_screen_batch_duration_seconds", "whole-batch screening latency, one observation per ScreenBatch", obs.DefDurationBuckets),
 		swaps:           reg.Counter("daas_screen_snapshot_swaps_total", "snapshot swaps installed by pipeline rebuilds"),
 		snapRecords:     reg.Gauge("daas_screen_snapshot_records", "listed addresses in the current snapshot"),
 		snapDomains:     reg.Gauge("daas_screen_snapshot_domains", "listed domains in the current snapshot"),
@@ -112,6 +114,40 @@ func (e *Engine) Screen(a ethtypes.Address) (Record, bool) {
 	return rec, ok
 }
 
+// Verdict is one address's answer within a batch: the listing record
+// when Listed, otherwise a Record carrying only the Address.
+type Verdict struct {
+	Record
+	Listed bool
+}
+
+// ScreenBatch answers every address in addrs off one snapshot, so a
+// batch that straddles a Swap never mixes two of them. The verdicts
+// replace dst's contents, in input order; a dst with room for
+// len(addrs) keeps the call free of heap allocations. The batch is
+// booked once: one latency observation in the batch histogram and the
+// listed/clean counts added in one step each.
+func (e *Engine) ScreenBatch(dst []Verdict, addrs []ethtypes.Address) []Verdict {
+	start := obs.Now()
+	snap := e.snap.Load()
+	dst = dst[:0]
+	listed := 0
+	for _, a := range addrs {
+		rec, ok := snap.Lookup(a)
+		if ok {
+			listed++
+		} else {
+			rec.Address = a
+		}
+		dst = append(dst, Verdict{Record: rec, Listed: ok})
+	}
+	e.batchDuration.ObserveDuration(obs.Since(start))
+	e.reqListed.Add(uint64(listed))
+	e.reqClean.Add(uint64(len(addrs) - listed))
+	e.observeAge(start)
+	return dst
+}
+
 // ScreenDomain answers one domain lookup off the current snapshot.
 func (e *Engine) ScreenDomain(domain string) bool {
 	start := obs.Now()
@@ -121,8 +157,7 @@ func (e *Engine) ScreenDomain(domain string) bool {
 }
 
 // observe books one lookup: latency, verdict count, and the snapshot
-// age gauge (an atomic store, so even the gauge refresh stays on the
-// zero-allocation path).
+// age gauges.
 func (e *Engine) observe(start time.Time, listed bool, hit, miss *obs.Counter) {
 	e.duration.ObserveDuration(obs.Since(start))
 	if listed {
@@ -130,6 +165,13 @@ func (e *Engine) observe(start time.Time, listed bool, hit, miss *obs.Counter) {
 	} else {
 		miss.Inc()
 	}
+	e.observeAge(start)
+}
+
+// observeAge refreshes the snapshot age and staleness gauges as of
+// start (atomic stores, so even the gauge refresh stays on the
+// zero-allocation path).
+func (e *Engine) observeAge(start time.Time) {
 	if at := e.swapAtNanos.Load(); at != 0 {
 		e.snapAge.Set((start.UnixNano() - at) / 1e9)
 	}

@@ -228,8 +228,9 @@ func TestCompileFromPipelineOutputs(t *testing.T) {
 }
 
 // TestScreenZeroAlloc is the hot-path allocation gate from the
-// roadmap's p99 < 5ms budget: a single-address screen performs zero
-// heap allocations, instruments included.
+// roadmap's p99 < 5ms budget: a single-address screen, a domain screen
+// and a batch into a sized buffer perform zero heap allocations,
+// instruments included.
 func TestScreenZeroAlloc(t *testing.T) {
 	eng := screen.NewEngine(obs.NewRegistry())
 	eng.Swap(buildSample([]int{0, 1, 2, 3}))
@@ -254,6 +255,16 @@ func TestScreenZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ScreenDomain(canonical) allocates %.1f objects/op, want 0", n)
+	}
+	batch := make([]ethtypes.Address, 1024)
+	for i := range batch {
+		batch[i] = addr(byte(i % 8))
+	}
+	verdicts := make([]screen.Verdict, 0, len(batch))
+	if n := testing.AllocsPerRun(100, func() {
+		verdicts = eng.ScreenBatch(verdicts, batch)
+	}); n != 0 {
+		t.Errorf("ScreenBatch into a sized buffer allocates %.1f objects/op, want 0", n)
 	}
 }
 
@@ -323,5 +334,109 @@ func TestEngineBeforeFirstSwap(t *testing.T) {
 	}
 	if eng.Snapshot() != nil {
 		t.Error("expected nil snapshot before first swap")
+	}
+}
+
+// TestScreenBatch: verdicts come back in input order, clean ones
+// carrying only their address, and the batch is booked once — one
+// batch-latency observation, the verdict counts added in one step.
+func TestScreenBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := screen.NewEngine(reg)
+	eng.Swap(buildSample([]int{0, 1, 2, 3}))
+	addrs := []ethtypes.Address{addr(9), addr(1), addr(3), addr(9), addr(1)}
+	got := eng.ScreenBatch(nil, addrs)
+	if len(got) != len(addrs) {
+		t.Fatalf("%d verdicts for %d addresses", len(got), len(addrs))
+	}
+	for i, v := range got {
+		want, ok := buildSample([]int{0, 1, 2, 3}).Lookup(addrs[i])
+		if !ok {
+			want = screen.Record{Address: addrs[i]}
+		}
+		if v.Listed != ok || v.Record != want {
+			t.Errorf("verdict %d = %+v, want %+v (listed %v)", i, v, want, ok)
+		}
+	}
+
+	snap := reg.Snapshot()
+	if s := snap.Find("daas_screen_requests_total", "listed"); s == nil || s.Counter != 3 {
+		t.Errorf("listed count = %+v, want 3", s)
+	}
+	if s := snap.Find("daas_screen_requests_total", "clean"); s == nil || s.Counter != 2 {
+		t.Errorf("clean count = %+v, want 2", s)
+	}
+	if s := snap.Find("daas_screen_batch_duration_seconds"); s == nil || s.Hist == nil || s.Hist.Count != 1 {
+		t.Errorf("batch latency = %+v, want one observation", s)
+	}
+	if s := snap.Find("daas_screen_duration_seconds"); s != nil && s.Hist != nil && s.Hist.Count != 0 {
+		t.Errorf("single-lookup latency observed %d times by a batch, want 0", s.Hist.Count)
+	}
+
+	if got := eng.ScreenBatch(got, nil); len(got) != 0 {
+		t.Errorf("empty batch = %+v", got)
+	}
+	if got := screen.NewEngine(nil).ScreenBatch(nil, addrs); len(got) != len(addrs) || got[1].Listed {
+		t.Errorf("engine before first swap = %+v, want all clean", got)
+	}
+}
+
+// TestScreenBatchOneSnapshotUnderSwap: while another goroutine swaps
+// between two snapshots that disagree on every address, each batch's
+// verdicts all come from one of them. Under -race this is also the
+// zero-lock gate for the batch path.
+func TestScreenBatchOneSnapshotUnderSwap(t *testing.T) {
+	const n = 512
+	addrs := make([]ethtypes.Address, n)
+	build := func(family string) *screen.Snapshot {
+		b := screen.NewBuilder()
+		for i := range addrs {
+			b.Add(screen.Record{Address: addrs[i], Kind: screen.KindContract, Reason: screen.ReasonContract, Family: family})
+		}
+		return b.Build()
+	}
+	for i := range addrs {
+		addrs[i][0], addrs[i][1], addrs[i][19] = byte(i>>8), byte(i), 0xbb
+	}
+	snaps := []*screen.Snapshot{build("Inferno"), build("Angel")}
+	eng := screen.NewEngine(obs.NewRegistry())
+	eng.Swap(snaps[0])
+
+	stop := make(chan struct{})
+	swapped := make(chan int)
+	go func() {
+		swaps := 0
+		defer func() { swapped <- swaps }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			swaps++
+			eng.Swap(snaps[swaps%2])
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []screen.Verdict
+			for i := 0; i < 300; i++ {
+				buf = eng.ScreenBatch(buf, addrs)
+				for j, v := range buf {
+					if !v.Listed || v.Family != buf[0].Family {
+						t.Errorf("batch %d verdict %d = %+v, verdict 0 family %q: batch mixed snapshots", i, j, v, buf[0].Family)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if swaps := <-swapped; swaps == 0 {
+		t.Error("no swaps ran during the batches")
 	}
 }

@@ -25,8 +25,8 @@ go test -race ./...
 echo "==> loadgen smoke: fixed-seed schedules are deterministic, exports stay byte-identical"
 go test -count=1 -run 'TestScheduleDeterministic|TestPipelineByteIdentical' ./internal/loadgen/
 
-echo "==> screen race: zero-lock engine and wallet guard under concurrent snapshot swaps"
-go test -race -count=1 -run 'TestEngineSwapUnderConcurrentReads|TestGuardConcurrentReload' ./internal/screen/ ./internal/walletguard/
+echo "==> screen race: zero-lock engine (one snapshot per batch) and wallet guard under concurrent snapshot swaps"
+go test -race -count=1 -run 'TestEngineSwapUnderConcurrentReads|TestScreenBatchOneSnapshotUnderSwap|TestGuardConcurrentReload' ./internal/screen/ ./internal/walletguard/
 
 echo "==> screen loadgen: batch schedule deterministic, verdicts byte-identical under swap churn"
 go test -count=1 -run 'TestScreenScheduleDeterministic|TestScreenSwapUnderLoadByteIdentical' ./internal/loadgen/
@@ -72,6 +72,9 @@ go test -race -count=1 -run 'TestBodyCap|TestBatchCap|TestOverloadShed|TestReque
 
 echo "==> rpc fuzz smoke: hardened ServeHTTP is total over the malformed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzServeHTTP' -fuzztime 10s ./internal/rpc/
+
+echo "==> rpc codec fuzz smoke: the daas_screenBatch codec matches its encoding/json oracle over the seed corpus + 10s of new inputs"
+go test -count=1 -run=NONE -fuzz 'FuzzScreenBatchCodec' -fuzztime 10s ./internal/rpc/
 
 echo "==> chaos soak: race-checked hardened server under hostile traffic with a mid-run upstream outage"
 go test -race -count=1 -run 'TestChaosSoak' ./internal/loadgen/

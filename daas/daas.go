@@ -85,9 +85,11 @@ type Client struct {
 	CacheSize int
 	// RetryPolicy, when set, retries transient chain-source failures
 	// (timeouts, 5xx, 429, resets) with deterministic exponential
-	// backoff, optionally behind a circuit breaker. It wraps the source
-	// between the cache and the per-method metrics, so retried attempts
-	// are counted and failed results are never cached.
+	// backoff, optionally behind a circuit breaker. Retry lives at one
+	// layer: on an *rpc.Client source (as from Dial) the policy replaces
+	// the client's own; any other source is wrapped between the cache
+	// and the per-method metrics. Either way every wire attempt is
+	// counted and failed results are never cached.
 	RetryPolicy *retry.Policy
 	// CheckpointPath, when set, makes BuildDataset persist its state
 	// atomically to this file at iteration boundaries, so an
@@ -211,7 +213,13 @@ func (c *Client) integritySource() *integrity.Source {
 	c.integrityOnce.Do(func() {
 		src := c.instrumentedSource()
 		if c.RetryPolicy != nil {
-			src = retry.WrapSource(src, c.RetryPolicy)
+			if rc, ok := c.source.(*rpc.Client); ok {
+				// The client already retries in its transport; a second
+				// layer over it would multiply the attempts.
+				rc.Retry = c.RetryPolicy
+			} else {
+				src = retry.WrapSource(src, c.RetryPolicy)
+			}
 		}
 		s := integrity.Wrap(src, nil, c.Metrics)
 		s.MaxRefetch = c.MaxRefetch

@@ -3,7 +3,10 @@ package daas_test
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/retry"
+	"repro/internal/rpc"
 )
 
 // quickPolicy retries without real sleeps, keeping the matrix fast.
@@ -195,5 +199,39 @@ func TestQuarantinedCheckpointResumeRoundTrip(t *testing.T) {
 	}
 	if resumed.Manifest(nil).Clean() {
 		t.Error("resumed run reports a clean manifest despite restored quarantine")
+	}
+}
+
+// TestRetryLivesAtOneLayer gates the retry layering of a dialled
+// client: Dial gives the transport its own policy, and a RetryPolicy
+// set on top must replace it, not stack over it. Against a server that
+// answers every request with 503 once dialled, the failing build costs
+// exactly MaxAttempts wire attempts, not their square.
+func TestRetryLivesAtOneLayer(t *testing.T) {
+	var failing atomic.Bool
+	var hits atomic.Int64
+	chainSrv := rpc.NewServer(world.Chain, world.Labels)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() {
+			hits.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		chainSrv.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c, err := daas.Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := quickPolicy(nil)
+	c.RetryPolicy = policy
+	failing.Store(true)
+	if _, err := c.BuildDataset(); err == nil {
+		t.Fatal("build against an always-503 server succeeded")
+	}
+	if got := hits.Load(); got != int64(policy.MaxAttempts) {
+		t.Errorf("failing build made %d wire attempts, want MaxAttempts = %d", got, policy.MaxAttempts)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,11 +93,18 @@ func (c *Client) call(method string, params any, result any) error {
 	return c.callContext(context.Background(), method, params, result)
 }
 
-// callContext issues one JSON-RPC request under the retry policy. The
-// context travels down to the HTTP exchange, so cancelling it aborts
-// an in-flight request (and any backoff sleep) instead of waiting out
-// the HTTP client timeout.
+// callContext issues one JSON-RPC request under the retry policy and
+// unmarshals its result into result (which nil discards). The context
+// travels down to the HTTP exchange, so cancelling it aborts an
+// in-flight request (and any backoff sleep) instead of waiting out the
+// HTTP client timeout.
 func (c *Client) callContext(ctx context.Context, method string, params any, result any) error {
+	return c.callDecode(ctx, method, params, unmarshalResult{result})
+}
+
+// callDecode issues one JSON-RPC request under the retry policy and
+// decodes its result with dec.
+func (c *Client) callDecode(ctx context.Context, method string, params any, dec resultDecoder) error {
 	raw, err := json.Marshal(params)
 	if err != nil {
 		return fmt.Errorf("rpc: encoding params: %w", err)
@@ -108,23 +115,17 @@ func (c *Client) callContext(ctx context.Context, method string, params any, res
 		return err
 	}
 	return c.Retry.Do(ctx, method, func() error {
-		return c.callOnce(ctx, method, body, func(r io.Reader) error {
-			var out response
-			if err := decodeEnvelope(r, method, &out, &out.Error); err != nil {
-				return err
-			}
-			if result == nil {
-				return nil
-			}
-			return json.Unmarshal(out.Result, result)
-		})
+		return c.callOnce(ctx, method, body, dec)
 	})
 }
 
-// callOnce performs one wire attempt and hands the response body to
-// decode; each attempt is instrumented separately so
-// daas_rpc_requests_total counts what actually hit the server.
-func (c *Client) callOnce(ctx context.Context, method string, body []byte, decode func(io.Reader) error) (err error) {
+// callOnce performs one wire attempt. The response body is read to EOF
+// into a pooled buffer, validated once and walked in place, with dec
+// decoding the result as the walk reaches it (decodeResponse); dec
+// must not keep the bytes it sees. Each attempt is instrumented
+// separately so daas_rpc_requests_total counts what actually hit the
+// server.
+func (c *Client) callOnce(ctx context.Context, method string, body []byte, dec resultDecoder) (err error) {
 	cm := c.metrics()
 	cm.requests.With(method).Inc()
 	start := time.Now()
@@ -138,20 +139,24 @@ func (c *Client) callOnce(ctx context.Context, method string, body []byte, decod
 	if err != nil {
 		return fmt.Errorf("rpc: %s: %w", method, err)
 	}
-	defer resp.Body.Close()
-	return decode(resp.Body)
+	buf := getBuf()
+	defer putBuf(buf)
+	if *buf, err = readResponse(resp, *buf); err != nil {
+		return fmt.Errorf("rpc: %s: reading response: %w", method, err)
+	}
+	return decodeResponse(method, *buf, dec)
 }
 
-// decodeEnvelope decodes one response envelope from r into env and
-// surfaces its error member, which rpcErr points at.
-func decodeEnvelope(r io.Reader, method string, env any, rpcErr **rpcError) error {
-	if err := json.NewDecoder(r).Decode(env); err != nil {
-		return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
+// readResponse reads a response body to EOF into dst[:0] and closes
+// it. Reading past the end of the JSON value to EOF, rather than
+// stopping where a json.Decoder would, is what lets net/http keep the
+// connection alive for the next request.
+func readResponse(resp *http.Response, dst []byte) ([]byte, error) {
+	defer resp.Body.Close()
+	if n := resp.ContentLength; n >= 0 && n < maxPooledBuf {
+		dst = slices.Grow(dst[:0], int(n)+1)
 	}
-	if *rpcErr != nil {
-		return fmt.Errorf("rpc: %s: %w", method, *rpcErr)
-	}
-	return nil
+	return readAll(dst, resp.Body)
 }
 
 // post sends one request body and returns the HTTP response body
@@ -223,9 +228,14 @@ func (c *Client) batchOnce(method string, n int, baseID int64, body []byte, deco
 	if err != nil {
 		return fmt.Errorf("rpc: %s batch of %d: %w", method, n, err)
 	}
-	defer resp.Body.Close()
+	buf := getBuf()
+	defer putBuf(buf)
+	if *buf, err = readResponse(resp, *buf); err != nil {
+		return fmt.Errorf("rpc: %s batch: reading response: %w", method, err)
+	}
+	// Unmarshalling copies each result out of the pooled buffer.
 	var outs []response
-	if err := json.NewDecoder(resp.Body).Decode(&outs); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(*buf)).Decode(&outs); err != nil {
 		// A parse/invalid-request failure comes back as a single error
 		// object rather than an array; surface it if it does.
 		return fmt.Errorf("rpc: %s batch: decoding response: %w", method, err)
@@ -472,11 +482,11 @@ type ScreenResult struct {
 
 // Screen asks the screening service for one address verdict.
 func (c *Client) Screen(addr ethtypes.Address) (ScreenResult, error) {
-	var v screenVerdict
-	if err := c.call("daas_screen", []string{addr.Hex()}, &v); err != nil {
+	var r verdictResult
+	if err := c.callDecode(context.Background(), "daas_screen", []string{addr.Hex()}, &r); err != nil {
 		return ScreenResult{}, err
 	}
-	return ScreenResult(v), nil
+	return r.v, nil
 }
 
 // ScreenBatch screens many addresses in one round trip via
@@ -487,43 +497,35 @@ func (c *Client) Screen(addr ethtypes.Address) (ScreenResult, error) {
 func (c *Client) ScreenBatch(addrs []ethtypes.Address) ([]ScreenResult, error) {
 	out := make([]ScreenResult, 0, len(addrs))
 	for off := 0; off < len(addrs); off += maxScreenBatch {
-		end := off + maxScreenBatch
-		if end > len(addrs) {
-			end = len(addrs)
-		}
-		chunk, err := c.screenBatchOne(addrs[off:end])
+		end := min(off+maxScreenBatch, len(addrs))
+		// The chunk's verdicts are decoded in place, into out's spare
+		// capacity.
+		chunk, err := c.screenBatchOne(out[off:off], addrs[off:end])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		out = out[:off+len(chunk)]
 	}
 	return out, nil
 }
 
-// screenBatchOne issues one daas_screenBatch request. The body is
-// appended by hand and the response decoded in one pass straight into
-// ScreenResults; both are byte-for-byte what encoding/json would write
-// and accept.
-func (c *Client) screenBatchOne(addrs []ethtypes.Address) ([]ScreenResult, error) {
+// screenBatchOne issues one daas_screenBatch request and decodes its
+// verdicts into dst[:0], which must have room for len(addrs) of them;
+// the result aliases dst. The body is appended by hand and the
+// response parsed in place straight into ScreenResults; both are
+// byte-for-byte what encoding/json would write and accept.
+func (c *Client) screenBatchOne(dst []ScreenResult, addrs []ethtypes.Address) ([]ScreenResult, error) {
 	const method = "daas_screenBatch"
 	ctx := context.Background()
 	body := appendScreenBatchRequest(make([]byte, 0, 64+45*len(addrs)), c.nextID.Add(1), addrs)
-	var out []ScreenResult
+	r := &verdictsResult{want: len(addrs), list: dst}
 	err := c.Retry.Do(ctx, method, func() error {
-		return c.callOnce(ctx, method, body, func(r io.Reader) error {
-			env := screenBatchResponse{Result: screenVerdicts{list: make([]ScreenResult, 0, len(addrs))}}
-			if err := decodeEnvelope(r, method, &env, &env.Error); err != nil {
-				return err
-			}
-			var err error
-			out, err = env.Result.verdicts(len(addrs))
-			return err
-		})
+		return c.callOnce(ctx, method, body, r)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return r.list, nil
 }
 
 // ScreenDomain asks the screening service whether a website domain is

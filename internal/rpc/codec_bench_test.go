@@ -3,11 +3,15 @@ package rpc_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ethtypes"
+	"repro/internal/labels"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/screen"
@@ -138,5 +142,88 @@ func TestScreenBatchServeAllocs(t *testing.T) {
 		t.Errorf("ServeHTTP allocates %.0f objects per %d-address batch, want <= %d", n, exchangeBatch, maxServeAllocs)
 	} else {
 		t.Logf("ServeHTTP allocates %.0f objects per %d-address batch", n, exchangeBatch)
+	}
+}
+
+// maxRoundTripAllocs bounds the heap allocations of one exchange-sized
+// daas_screenBatch round trip over loopback, counting client,
+// transport and server together.
+const maxRoundTripAllocs = 200
+
+// TestScreenBatchRoundTripAllocs is the client's allocation gate: a
+// 1,024-address batch, half of it listed, screened through
+// Client.ScreenBatch against a loopback server.
+func TestScreenBatchRoundTripAllocs(t *testing.T) {
+	eng, addrs := batchFixture(exchangeBatch)
+	srv := httptest.NewServer(&rpc.Server{Screen: eng, Metrics: obs.NewRegistry()})
+	defer srv.Close()
+	client := rpc.NewClient(srv.URL)
+	client.Metrics = obs.NewRegistry()
+	roundTrip := func() {
+		got, err := client.ScreenBatch(addrs)
+		if err != nil || len(got) != len(addrs) {
+			t.Fatalf("%d verdicts for %d addresses: %v", len(got), len(addrs), err)
+		}
+	}
+	roundTrip()
+	if n := testing.AllocsPerRun(50, roundTrip); n > maxRoundTripAllocs {
+		t.Errorf("round trip allocates %.0f objects per %d-address batch, want <= %d", n, exchangeBatch, maxRoundTripAllocs)
+	} else {
+		t.Logf("round trip allocates %.0f objects per %d-address batch", n, exchangeBatch)
+	}
+}
+
+// countingServer serves h over loopback for the rest of the test and
+// counts the connections clients open to it.
+func countingServer(t *testing.T, h http.Handler) (*httptest.Server, *atomic.Int64) {
+	conns := new(atomic.Int64)
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv, conns
+}
+
+// TestClientReusesConnection is the keep-alive gate. A client that
+// leaves any of a response body unread makes net/http drop the
+// connection, so sequential calls must ride a single one: screening
+// batches of every size, and a large generic result.
+func TestClientReusesConnection(t *testing.T) {
+	const calls = 200
+	for _, n := range []int{4, 64, exchangeBatch} {
+		eng, addrs := batchFixture(n)
+		srv, conns := countingServer(t, &rpc.Server{Screen: eng})
+		client := rpc.NewClient(srv.URL)
+		for i := 0; i < calls; i++ {
+			if got, err := client.ScreenBatch(addrs); err != nil || len(got) != n {
+				t.Fatalf("%d verdicts for %d addresses: %v", len(got), n, err)
+			}
+		}
+		if got := conns.Load(); got != 1 {
+			t.Errorf("%d ScreenBatch calls of %d addresses opened %d connections, want 1", calls, n, got)
+		}
+	}
+
+	dir := labels.New()
+	const nLabels = 500
+	for i := 0; i < nLabels; i++ {
+		var a ethtypes.Address
+		a[0], a[1], a[19] = 0x1a, byte(i>>8), byte(i)
+		dir.Add(labels.Label{Address: a, Source: labels.SourceChainabuse, Category: labels.CategoryPhishing, Name: fmt.Sprintf("Fake_Phishing%d", i)})
+	}
+	srv, conns := countingServer(t, &rpc.Server{Labels: dir})
+	client := rpc.NewClient(srv.URL)
+	for i := 0; i < calls; i++ {
+		got, err := client.FetchLabels()
+		if err != nil || got.Count() != nLabels {
+			t.Fatalf("fetched labels: %v", err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d FetchLabels calls opened %d connections, want 1", calls, got)
 	}
 }

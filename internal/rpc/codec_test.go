@@ -153,13 +153,14 @@ func oracleDecodeBatch(body []byte, want int) ([]ScreenResult, error) {
 	return res, nil
 }
 
-// decodeBatch is the client's daas_screenBatch response decoding.
+// decodeBatch is the client's daas_screenBatch response decoding, as
+// callOnce runs it on a body read to EOF.
 func decodeBatch(body []byte, want int) ([]ScreenResult, error) {
-	var env screenBatchResponse
-	if err := decodeEnvelope(bytes.NewReader(body), "daas_screenBatch", &env, &env.Error); err != nil {
+	r := verdictsResult{want: want}
+	if err := decodeResponse("daas_screenBatch", body, &r); err != nil {
 		return nil, err
 	}
-	return env.Result.verdicts(want)
+	return r.list, nil
 }
 
 // sameOutcome fails unless both decodings accepted with equal verdicts,
@@ -289,6 +290,48 @@ func TestScreenCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestClientEnvelopeMatchesDecoder pins the client's envelope walk to
+// the json.Decoder it replaced on the members the fuzz seeds reach
+// least: duplicate and case-folded members, error objects decoded over
+// each other, member type mismatches, and bodies that are not one
+// valid JSON value.
+func TestClientEnvelopeMatchesDecoder(t *testing.T) {
+	addr := codecAddr(1).Hex()
+	verdict := `[{"address":"` + addr + `","listed":false}]`
+	for _, body := range []string{
+		`{"jsonrpc":"2.0","id":1,"result":` + verdict + "}\n",
+		`{"error":{"code":1,"message":"a"},"error":{"code":2}}`,
+		`{"error":{"code":1,"message":"a"},"error":null,"error":{"code":2}}`,
+		`{"error":{"code":1,"message":"a"},"error":{}}`,
+		`{"error":null,"result":` + verdict + `}`,
+		`{"ERROR":{"Code":3,"MESSAGE":"x","extra":{"y":[1,"}"]}}}`,
+		`{"error":{"code":-32602,"message":"bad \u00e9\ud800 \"q\""}}`,
+		`{"error":{"code":1,"message":null}}`, `{"error":{"code":null}}`,
+		`{"error":[]}`, `{"error":"x"}`, `{"error":1}`, `{"error":{"code":"1"}}`,
+		`{"error":{"code":1.0}}`, `{"error":{"code":1e2}}`, `{"error":{"code":true}}`,
+		`{"error":{"code":9223372036854775808}}`, `{"error":{"message":5}}`, `{"error":{"message":{}}}`,
+		`{"id":"1","result":` + verdict + `}`, `{"id":1.5,"result":[]}`, `{"id":1e2,"result":[]}`,
+		`{"id":-0,"result":[]}`, `{"id":-9223372036854775808,"result":[]}`, `{"id":9223372036854775808,"result":[]}`,
+		`{"id":null,"result":[]}`, `{"id":[],"result":[]}`, `{"id":{},"result":[]}`, `{"id":false,"result":[]}`,
+		`{"jsonrpc":null,"result":[]}`, `{"jsonrpc":true,"result":[]}`, `{"jsonrpc":2.0,"result":[]}`, `{"JSONRPC":["2.0"],"result":[]}`,
+		`{"r\u0065sult":[]}`, `{"Result":` + verdict + `,"RESULT":null}`, `{"result":null,"result":` + verdict + `}`,
+		`{"\u017fesult":[]}`, `{"resul":[],"results":[]}`, `{}`, `{"result":[]}`,
+		` null `, `[]`, `[{"result":[]}]`, `"x"`, `1`, `true`, ``, `   `, "\n",
+		`{"result":[]}{"result":` + verdict + `}`, `{"result":[]`, `{"result":[]} trailing`,
+		`{"error":{"code":1,"message":"a"}} trailing`, `{"result":` + verdict + `}]`,
+		// Raw non-ASCII bytes, valid and not: encoding/json replaces
+		// each invalid byte with U+FFFD.
+		"{\"result\":[{\"address\":\"" + addr + "\",\"listed\":true,\"kind\":\"k\xff\",\"family\":\"\u00cdnferno \u2603 \xc3\"}]}",
+		"{\"error\":{\"code\":1,\"message\":\"bad\xff\xe2\x80 \u2028\"}}",
+	} {
+		for _, want := range []int{0, 1} {
+			got, err := decodeBatch([]byte(body), want)
+			oracle, oracleErr := oracleDecodeBatch([]byte(body), want)
+			sameOutcome(t, "response", []byte(body), got, oracle, err, oracleErr)
+		}
+	}
+}
+
 // FuzzScreenBatchCodec pins the daas_screenBatch codec to its
 // encoding/json oracle on arbitrary bytes, used four ways: as the
 // request's params (the server must pick the same verdicts or the same
@@ -366,14 +409,15 @@ func FuzzScreenBatchCodec(f *testing.F) {
 			if oracleErr == nil {
 				one, oracleErr = fromScreenResultJSON(rj)
 			}
-			var v screenVerdict
-			gotErr := json.Unmarshal(data, &v)
+			var r verdictResult
+			r.parse(&validScan{data: data})
+			gotErr := r.done(data)
 			var oracleList, gotList []ScreenResult
 			if oracleErr == nil {
 				oracleList = []ScreenResult{one}
 			}
 			if gotErr == nil {
-				gotList = []ScreenResult{ScreenResult(v)}
+				gotList = []ScreenResult{r.v}
 			}
 			sameOutcome(t, "verdict", data, gotList, oracleList, gotErr, oracleErr)
 		}

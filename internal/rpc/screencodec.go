@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -18,8 +19,9 @@ import (
 // and parsed in one pass, but the bytes are exactly those encoding/json
 // writes and accepts: FuzzScreenBatchCodec pins both directions to
 // it. The parsers only ever see input encoding/json has already
-// validated (the server's request envelope, the client's response
-// envelope), so they track token boundaries and check nothing else.
+// validated (the server's request envelope, the client's whole
+// response body), so they track token boundaries and check nothing
+// else.
 // A string holding escapes or non-ASCII bytes is unquoted by
 // encoding/json, one string at a time.
 
@@ -253,6 +255,12 @@ func (s *validScan) more() bool {
 func (s *validScan) str() (tok []byte, plain bool) {
 	s.peek()
 	start := s.off
+	// Without a backslash before it, the first quote closes the string.
+	body := s.data[start+1:]
+	if end := bytes.IndexByte(body, '"'); bytes.IndexByte(body[:end], '\\') < 0 {
+		s.off = start + end + 2
+		return s.data[start:s.off], ascii(body[:end])
+	}
 	i := start + 1
 	plain = true
 	for s.data[i] != '"' {
@@ -271,6 +279,22 @@ func (s *validScan) str() (tok []byte, plain bool) {
 	return s.data[start:s.off], plain
 }
 
+// ascii reports whether b holds only ASCII bytes, testing eight at a
+// time.
+func ascii(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 // literal consumes a number, true, false or null.
 func (s *validScan) literal() []byte {
 	s.peek()
@@ -283,6 +307,30 @@ func (s *validScan) literal() []byte {
 		s.off++
 	}
 	return s.data[start:]
+}
+
+// key consumes a member name and the ':' after it, and returns the
+// name as encoding/json matches it, escapes resolved.
+func (s *validScan) key() []byte {
+	tok, plain := s.str()
+	s.peek()
+	s.off++
+	if !plain {
+		return []byte(unquote(tok, plain))
+	}
+	return tok[1 : len(tok)-1]
+}
+
+// integer consumes a value bound for a signed integer of the given bit
+// size; c is the value's first byte. As for encoding/json, only an
+// in-range number without fraction or exponent fits, and anything else
+// is a type mismatch (and is not consumed).
+func (s *validScan) integer(c byte, bits int) (int64, bool) {
+	if c != '-' && (c < '0' || c > '9') {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(s.literal()), 10, bits)
+	return n, err == nil
 }
 
 // skip consumes one value of any kind.
@@ -398,6 +446,10 @@ func decodeAddresses(dst []ethtypes.Address, params []byte) ([]ethtypes.Address,
 // when a verdict does not have the wire shape.
 var errVerdictType = errors.New("verdict does not have the daas_screen shape")
 
+// errEnvelopeType stands for the type mismatch encoding/json reports
+// when a response envelope member does not have response's type.
+var errEnvelopeType = errors.New("response envelope does not have the JSON-RPC shape")
+
 // Verdict object members, indexing verdictFields.
 const (
 	fieldAddress = iota
@@ -416,20 +468,181 @@ var verdictFields = [...][]byte{
 	[]byte("family"), []byte("tainted"), []byte("staticFlagged"), []byte("snapshotAge"),
 }
 
-// verdictField matches a member name as encoding/json matches struct
-// fields: exactly, or else under Unicode case folding.
-func verdictField(key []byte) int {
-	for i, name := range verdictFields {
+// Response envelope members, indexing envelopeFields.
+const (
+	memberJSONRPC = iota
+	memberID
+	memberResult
+	memberError
+)
+
+var envelopeFields = [...][]byte{[]byte("jsonrpc"), []byte("id"), []byte("result"), []byte("error")}
+
+// Error object members, indexing errorFields.
+const (
+	memberCode = iota
+	memberMessage
+)
+
+var errorFields = [...][]byte{[]byte("code"), []byte("message")}
+
+// matchField matches a member name against names as encoding/json
+// matches struct fields: exactly, or else under Unicode case folding.
+// A name no field takes is len(names).
+func matchField(key []byte, names [][]byte) int {
+	for i, name := range names {
 		if string(key) == string(name) {
 			return i
 		}
 	}
-	for i, name := range verdictFields {
+	for i, name := range names {
 		if bytes.EqualFold(key, name) {
 			return i
 		}
 	}
-	return fieldUnknown
+	return len(names)
+}
+
+// envelope is a response envelope as the client reads it: the result
+// member left in place and the error member decoded.
+type envelope struct {
+	// result is the last result member's bytes, nil if there is none.
+	result []byte
+	// hasErr reports a non-null error member, and rpcErr is its value.
+	hasErr bool
+	rpcErr rpcError
+}
+
+// A resultDecoder decodes a response's result member in place, as the
+// walk over the envelope reaches it.
+type resultDecoder interface {
+	// parse consumes one result value. The walk calls it for every
+	// result member, so the last call must win, as the last duplicate
+	// does in encoding/json.
+	parse(s *validScan)
+	// done reports the decoding's outcome once the envelope has been
+	// accepted; result is the last result member's bytes, nil if there
+	// was none.
+	done(result []byte) error
+}
+
+// unmarshalResult hands the result bytes to json.Unmarshal into v; a
+// nil v discards the result.
+type unmarshalResult struct{ v any }
+
+func (u unmarshalResult) parse(s *validScan) { s.skip() }
+
+func (u unmarshalResult) done(result []byte) error {
+	if u.v == nil {
+		return nil
+	}
+	return json.Unmarshal(result, u.v)
+}
+
+// decodeResponse validates a whole response body once, with
+// encoding/json's own scanner, walks its envelope in place with dec
+// decoding the result, and returns the error member or dec's outcome.
+// A body that is not one valid JSON value goes through json.Decoder
+// instead, as every response once did: it fails there, or its first
+// value alone is walked (so an envelope followed by stray bytes is
+// still accepted).
+func decodeResponse(method string, body []byte, dec resultDecoder) error {
+	if !json.Valid(body) {
+		var first json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&first); err != nil {
+			return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
+		}
+		body = first
+	}
+	env, err := parseEnvelope(body, dec)
+	if err != nil {
+		return fmt.Errorf("rpc: %s: decoding response: %w", method, err)
+	}
+	if env.hasErr {
+		e := env.rpcErr
+		return fmt.Errorf("rpc: %s: %w", method, &e)
+	}
+	return dec.done(env.result)
+}
+
+// parseEnvelope walks a validated response body as encoding/json
+// decodes it into response: members match case-insensitively and the
+// last duplicate wins; a null member leaves its field as it was,
+// except that a null error clears it; an error object decodes over the
+// one before it; and a member of the wrong type fails the envelope.
+// Each result member's value is parsed by dec.
+func parseEnvelope(body []byte, dec resultDecoder) (envelope, error) {
+	var env envelope
+	s := validScan{data: body}
+	switch s.peek() {
+	case 'n':
+		return env, nil
+	case '{':
+	default:
+		return env, errEnvelopeType
+	}
+	for more := s.enter(); more; more = s.more() {
+		field, c := matchField(s.key(), envelopeFields[:]), s.peek()
+		switch {
+		case field == memberResult:
+			start := s.off
+			dec.parse(&s)
+			env.result = body[start:s.off]
+		case field == len(envelopeFields):
+			s.skip()
+		case c == 'n':
+			s.literal()
+			if field == memberError {
+				env.hasErr = false
+			}
+		case field == memberJSONRPC:
+			if c != '"' {
+				return env, errEnvelopeType
+			}
+			s.str()
+		case field == memberID:
+			if _, ok := s.integer(c, 64); !ok {
+				return env, errEnvelopeType
+			}
+		default: // memberError
+			if c != '{' {
+				return env, errEnvelopeType
+			}
+			if !env.hasErr {
+				env.hasErr, env.rpcErr = true, rpcError{}
+			}
+			if !decodeRPCError(&s, &env.rpcErr) {
+				return env, errEnvelopeType
+			}
+		}
+	}
+	return env, nil
+}
+
+// decodeRPCError decodes an error object over dst as encoding/json
+// does, reporting false on a member of the wrong type.
+func decodeRPCError(s *validScan, dst *rpcError) bool {
+	for more := s.enter(); more; more = s.more() {
+		field, c := matchField(s.key(), errorFields[:]), s.peek()
+		switch {
+		case field == len(errorFields):
+			s.skip()
+		case c == 'n':
+			s.literal()
+		case field == memberCode:
+			code, ok := s.integer(c, strconv.IntSize)
+			if !ok {
+				return false
+			}
+			dst.Code = int(code)
+		default: // memberMessage
+			if c != '"' {
+				return false
+			}
+			dst.Message = unquote(s.str())
+		}
+	}
+	return true
 }
 
 // maxInterned bounds a verdictDecoder's string table; past it,
@@ -470,14 +683,7 @@ func (d *verdictDecoder) verdict(s *validScan) (out ScreenResult, addrErr, typeE
 		s.literal()
 	case '{':
 		for more := s.enter(); more; more = s.more() {
-			tok, plain := s.str()
-			key := tok[1 : len(tok)-1]
-			if !plain {
-				key = []byte(unquote(tok, plain))
-			}
-			s.peek()
-			s.off++ // ':'
-			field, c := verdictField(key), s.peek()
+			field, c := matchField(s.key(), verdictFields[:]), s.peek()
 			switch {
 			case field == fieldUnknown:
 				s.skip()
@@ -544,92 +750,95 @@ func parseUint64(lit []byte) (uint64, bool) {
 	return n, len(lit) > 0
 }
 
-// screenVerdict decodes a daas_screen result straight into a
-// ScreenResult.
-type screenVerdict ScreenResult
+// verdictResult decodes a daas_screen result into v. It fails where
+// unmarshalling the result into a verdict struct and converting the
+// address would have.
+type verdictResult struct {
+	v   ScreenResult
+	err error
+}
 
-// UnmarshalJSON implements json.Unmarshaler; encoding/json calls it
-// only with validated bytes.
-func (v *screenVerdict) UnmarshalJSON(data []byte) error {
+func (r *verdictResult) parse(s *validScan) {
+	start := s.off
 	var d verdictDecoder
-	r, addrErr, typeErr := d.verdict(&validScan{data: data})
-	if typeErr != nil {
-		return typeErr
+	v, addrErr, typeErr := d.verdict(s)
+	switch {
+	case typeErr != nil:
+		r.v, r.err = ScreenResult{}, typeErr
+		s.off = start
+		s.skip()
+	case addrErr != nil:
+		r.v, r.err = ScreenResult{}, addrErr
+	default:
+		r.v, r.err = v, nil
 	}
-	if addrErr != nil {
-		return addrErr
+}
+
+func (r *verdictResult) done(result []byte) error {
+	switch {
+	case result == nil:
+		return errors.New("rpc: daas_screen: response has no result")
+	case r.err != nil:
+		return fmt.Errorf("rpc: daas_screen: %w", r.err)
 	}
-	*v = screenVerdict(r)
 	return nil
 }
 
-// screenVerdicts decodes a daas_screenBatch result straight into
-// ScreenResults, reusing list's capacity. UnmarshalJSON never fails,
-// so the rest of the envelope (its error member in particular) still
-// decodes as it did beside a raw result; the outcome waits in err and
-// badErr for the caller.
-type screenVerdicts struct {
-	// present records that the envelope had a result member.
-	present bool
-	list    []ScreenResult
-	// err is a type mismatch anywhere in the result.
-	err error
+// verdictsResult decodes a daas_screenBatch result of want verdicts
+// into list, reusing its capacity. It fails where unmarshalling the
+// result into verdict structs and converting each would have, in the
+// same order: a type mismatch anywhere, then the count, then the first
+// verdict with a missing or malformed address.
+type verdictsResult struct {
+	want int
+	list []ScreenResult
+	// typeErr is a type mismatch anywhere in the result.
+	typeErr error
 	// badItem is the index of the first verdict with a missing or
 	// malformed address, and badErr its error (nil if none).
 	badItem int
 	badErr  error
 }
 
-// UnmarshalJSON implements json.Unmarshaler; encoding/json calls it
-// only with validated bytes.
-func (v *screenVerdicts) UnmarshalJSON(data []byte) error {
-	*v = screenVerdicts{present: true, list: v.list[:0]}
-	s := validScan{data: data}
+func (r *verdictsResult) parse(s *validScan) {
+	start := s.off
+	r.list, r.typeErr, r.badErr = r.list[:0], nil, nil
 	switch s.peek() {
 	case 'n':
-		return nil
+		s.literal()
+		return
 	case '[':
 	default:
-		v.err = errVerdictType
-		return nil
+		r.typeErr = errVerdictType
+		s.skip()
+		return
 	}
 	var d verdictDecoder
 	for more := s.enter(); more; more = s.more() {
-		r, addrErr, typeErr := d.verdict(&s)
+		v, addrErr, typeErr := d.verdict(s)
 		if typeErr != nil {
-			v.err = typeErr
-			return nil
+			r.typeErr = typeErr
+			s.off = start
+			s.skip()
+			return
 		}
-		if addrErr != nil && v.badErr == nil {
-			v.badItem, v.badErr = len(v.list), addrErr
+		if addrErr != nil && r.badErr == nil {
+			r.badItem, r.badErr = len(r.list), addrErr
 		}
-		v.list = append(v.list, r)
+		r.list = append(r.list, v)
+	}
+}
+
+func (r *verdictsResult) done(result []byte) error {
+	switch {
+	case result == nil:
+		return errors.New("rpc: daas_screenBatch: response has no result")
+	case r.typeErr != nil:
+		return fmt.Errorf("rpc: daas_screenBatch: %w", r.typeErr)
+	case len(r.list) != r.want:
+		return fmt.Errorf("rpc: daas_screenBatch: %d results for %d addresses", len(r.list), r.want)
+	case r.badErr != nil:
+		return fmt.Errorf("rpc: daas_screenBatch item %d: %w", r.badItem, r.badErr)
 	}
 	return nil
-}
-
-// verdicts returns the decoded batch of want verdicts, or the error
-// unmarshalling the result into verdict structs and converting each
-// would have met first.
-func (v *screenVerdicts) verdicts(want int) ([]ScreenResult, error) {
-	switch {
-	case !v.present:
-		return nil, errors.New("rpc: daas_screenBatch: response has no result")
-	case v.err != nil:
-		return nil, fmt.Errorf("rpc: daas_screenBatch: %w", v.err)
-	case len(v.list) != want:
-		return nil, fmt.Errorf("rpc: daas_screenBatch: %d results for %d addresses", len(v.list), want)
-	case v.badErr != nil:
-		return nil, fmt.Errorf("rpc: daas_screenBatch item %d: %w", v.badItem, v.badErr)
-	}
-	return v.list, nil
-}
-
-// screenBatchResponse is the daas_screenBatch response envelope: the
-// members of response, with the result decoded in place.
-type screenBatchResponse struct {
-	JSONRPC string         `json:"jsonrpc"`
-	ID      int64          `json:"id"`
-	Result  screenVerdicts `json:"result"`
-	Error   *rpcError      `json:"error"`
 }

@@ -201,12 +201,17 @@ func readBody(dst []byte, w http.ResponseWriter, r *http.Request, limit int64) (
 	if limit > 0 {
 		body = http.MaxBytesReader(w, body, limit)
 	}
+	return readAll(dst, body)
+}
+
+// readAll reads r to EOF into dst[:0], growing it as needed.
+func readAll(dst []byte, r io.Reader) ([]byte, error) {
 	b := dst[:0]
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := body.Read(b[len(b):cap(b)])
+		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			return b, nil

@@ -67,8 +67,8 @@ go test -count=1 -run 'TestAnalyzeBudgetedPathological' ./internal/evmstatic/
 echo "==> fingerprint fuzz smoke: the static engine is total over the template corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzFingerprints' -fuzztime 10s ./internal/evmstatic/
 
-echo "==> rpc hardening: body/batch caps, shedding, deadlines, panic recovery, health probes under race"
-go test -race -count=1 -run 'TestBodyCap|TestBatchCap|TestOverloadShed|TestRequestDeadline|TestRadarDeadlineWhileMutexHeld|TestPanicRecovery|TestWriteErrorCounted|TestHealthEndpoints|TestSlowLorisEvicted|TestGracefulServe' ./internal/rpc/
+echo "==> rpc hardening: body/batch caps, shedding, deadlines, panic recovery, health probes, client keep-alive under race"
+go test -race -count=1 -run 'TestBodyCap|TestBatchCap|TestOverloadShed|TestRequestDeadline|TestRadarDeadlineWhileMutexHeld|TestPanicRecovery|TestWriteErrorCounted|TestHealthEndpoints|TestSlowLorisEvicted|TestGracefulServe|TestClientReusesConnection' ./internal/rpc/
 
 echo "==> rpc fuzz smoke: hardened ServeHTTP is total over the malformed corpus + 10s of new inputs"
 go test -count=1 -run=NONE -fuzz 'FuzzServeHTTP' -fuzztime 10s ./internal/rpc/
